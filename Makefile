@@ -31,7 +31,7 @@ test:
 	$(GO) test -race ./...
 
 allocgate:
-	$(GO) test ./internal/perf/ -run 'TestDatapathZeroAlloc|TestRecoveryZeroAlloc|TestUDPLoopbackZeroAlloc' -count=1
+	$(GO) test ./internal/perf/ -run 'TestDatapathZeroAlloc|TestRecoveryZeroAlloc|TestUDPLoopbackZeroAlloc|TestTrackerZeroAlloc|TestPrimaryOpenGapZeroAlloc' -count=1
 	$(GO) test ./internal/perf/ -run '^$$' -bench . -benchmem -benchtime 10ms
 
 # perfgate re-measures the zero-allocation invariants and the batched
@@ -48,10 +48,10 @@ perfgate:
 # endpoints, the logging servers, the wire codec and the observability
 # layer — including the control-plane packages (series ring, health/SLO
 # engine, fleet scraper). Floors sit below current coverage (core 87 /
-# logger 79 / wire 86 / obs 93 / series 88 / health 92 / fleet 85 at the
-# time of writing) so routine growth doesn't trip them, but an untested
-# subsystem landing in one of these packages does.
-COVER_FLOORS = ./internal/core:80 ./internal/logger:72 ./internal/wire:80 ./internal/obs:87 ./internal/obs/series:84 ./internal/obs/health:87 ./internal/obs/fleet:80 ./internal/vtime:85 ./internal/netsim:75
+# logger 79 / wire 86 / obs 93 / series 88 / health 92 / fleet 85 /
+# seqtrack 100 at the time of writing) so routine growth doesn't trip
+# them, but an untested subsystem landing in one of these packages does.
+COVER_FLOORS = ./internal/core:80 ./internal/logger:72 ./internal/wire:80 ./internal/obs:87 ./internal/obs/series:84 ./internal/obs/health:87 ./internal/obs/fleet:80 ./internal/vtime:85 ./internal/netsim:75 ./internal/seqtrack:98
 
 cover:
 	@fail=0; \
@@ -88,14 +88,16 @@ scenarios:
 # and quorum-ring fields), the quorum-ack watermark block specifically
 # (variable-length replica watermarks + ring epoch fencing), the
 # metrics/trace exposition encoder (no-panic + lossless JSON round-trip),
-# and the Prometheus text exposition (line discipline + escaping under
-# adversarial metric names and values). The seed corpora alone run in
-# every `go test`; this target actually mutates.
+# the Prometheus text exposition (line discipline + escaping under
+# adversarial metric names and values), and the sequence tracker against
+# its map reference model (forged seqs near 2^64 included). The seed
+# corpora alone run in every `go test`; this target actually mutates.
 fuzzsmoke:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzUnmarshal -fuzztime 10s
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzQuorumAck -fuzztime 10s
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz FuzzExposition -fuzztime 10s
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz FuzzPromExposition -fuzztime 10s
+	$(GO) test ./internal/seqtrack/ -run '^$$' -fuzz FuzzTracker -fuzztime 10s
 
 # flight runs the chaos matrix with the recovery flight recorder's fleet
 # timeline enabled, writing one JSONL flight log per seed into

@@ -157,16 +157,16 @@ func (c ReceiverConfig) withDefaults() ReceiverConfig {
 
 // ReceiverStats counts a receiver's protocol activity.
 type ReceiverStats struct {
-	DataDelivered      uint64
-	Duplicates         uint64
-	HeartbeatsSeen     uint64
-	GapsDetected       uint64
-	NacksSent uint64
+	DataDelivered  uint64
+	Duplicates     uint64
+	HeartbeatsSeen uint64
+	GapsDetected   uint64
+	NacksSent      uint64
 	// NacksToSecondary counts NACKs to the tier-0 (on-site) logger;
 	// NacksToPrimary counts everything sent beyond the site boundary —
 	// higher chain tiers, the primary, and post-query retries.
-	NacksToSecondary uint64
-	NacksToPrimary   uint64
+	NacksToSecondary   uint64
+	NacksToPrimary     uint64
 	Recovered          uint64
 	RecoveredInline    uint64
 	Escalations        uint64
@@ -339,6 +339,11 @@ type rcvStream struct {
 	// latency accounting for experiments: seq → time the loss was first
 	// detectable (gap observed).
 	gapSince map[uint64]time.Time
+	// detectedThrough is the gap-detection watermark: every seq at or
+	// below it that is still missing is already in gapSince. The missing
+	// set never grows below the stream head, so checkGaps registers only
+	// seqs above it and each missing seq is visited once.
+	detectedThrough uint64
 	// recoveryTimes records detection→delivery per recovered seq.
 	recoveryTimes map[uint64]time.Duration
 }
@@ -691,22 +696,29 @@ func (r *Receiver) checkGaps(st *rcvStream) {
 	now := r.env.Now()
 	nowNS := now.UnixNano()
 	for _, rg := range miss {
-		for seq := rg.From; seq <= rg.To; seq++ {
-			if _, ok := st.gapSince[seq]; !ok {
-				st.gapSince[seq] = now
-				r.stats.GapsDetected++
-				r.mx.gaps.Inc()
-				// The gap is heartbeat-revealed when nothing above it has
-				// arrived as data (the heartbeat's seq pushed hbHigh past
-				// the highest received packet).
-				var hb uint64
-				if seq > st.track.Highest() {
-					hb = 1
-				}
-				r.mx.sink.EmitFlight(nowNS, obs.KindGapDetect, seq, hb, 0)
+		if rg.To <= st.detectedThrough {
+			continue
+		}
+		for seq := max(rg.From, st.detectedThrough+1); ; seq++ {
+			st.gapSince[seq] = now
+			r.stats.GapsDetected++
+			r.mx.gaps.Inc()
+			// The gap is heartbeat-revealed when nothing above it has
+			// arrived as data (the heartbeat's seq pushed hbHigh past
+			// the highest received packet).
+			var hb uint64
+			if seq > st.track.Highest() {
+				hb = 1
+			}
+			r.mx.sink.EmitFlight(nowNS, obs.KindGapDetect, seq, hb, 0)
+			if seq == rg.To {
+				break
 			}
 		}
 	}
+	// miss lists every missing seq up to its last range (the cap only
+	// drops ranges above it), so detection is complete through there.
+	st.detectedThrough = max(st.detectedThrough, miss[len(miss)-1].To)
 	if st.nackArmed || st.retryArmed {
 		return
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"lbrm/internal/obs"
 	"lbrm/internal/transport"
 	"lbrm/internal/transport/transporttest"
 	"lbrm/internal/wire"
@@ -633,5 +634,110 @@ func TestReceiverRecoveryWindowSkipsForgedHead(t *testing.T) {
 	h.data(t, 1<<50+1, "fresh")
 	if h.got[len(h.got)-1].payload != "fresh" {
 		t.Fatalf("delivery after skip: %v", h.got)
+	}
+}
+
+// TestReceiverWideGapDetectedOnce scripts a 4,000-seq heartbeat-revealed
+// gap, widened by a second heartbeat, then splits it into more ranges than one NACK carries and opens
+// further gaps above them. Every missing seq must be registered exactly
+// once: the wide gap on the heartbeat, the gaps past the range cap only
+// once repairs bring them inside it.
+func TestReceiverWideGapDetectedOnce(t *testing.T) {
+	sink, err := obs.NewSinkWith(obs.Config{FlightRingSize: 1 << 14})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newReceiver(t, ReceiverConfig{NackDelay: time.Second, Obs: sink})
+	h.data(t, 1, "x")
+	// The second heartbeat widens the same open range past what the first
+	// one registered.
+	h.heartbeat(t, 2001, 1)
+	h.heartbeat(t, 4001, 2)
+	if got := h.r.Stats().GapsDetected; got != 4000 {
+		t.Fatalf("GapsDetected after heartbeats = %d, want 4000", got)
+	}
+	// Repair every odd seq in the gap: ~2,000 single-seq ranges remain,
+	// far more than MaxNackRanges.
+	for seq := uint64(3); seq <= 4001; seq += 2 {
+		h.retrans(t, tSecondary, seq, "r")
+	}
+	// New gaps above the head sit beyond the first MaxNackRanges ranges.
+	for seq := uint64(4003); seq <= 4101; seq += 2 {
+		h.data(t, seq, "x")
+	}
+	if got := h.r.Stats().GapsDetected; got != 4000 {
+		t.Fatalf("GapsDetected with gaps past the range cap = %d, want 4000", got)
+	}
+	for seq := uint64(2); seq <= 4001; seq += 2 {
+		h.retrans(t, tSecondary, seq, "r")
+	}
+	want := map[uint64]uint64{} // seq → heartbeat-revealed flag
+	for seq := uint64(2); seq <= 4001; seq++ {
+		want[seq] = 1
+	}
+	for seq := uint64(4002); seq <= 4100; seq += 2 {
+		want[seq] = 0
+	}
+	if got := h.r.Stats().GapsDetected; got != uint64(len(want)) {
+		t.Fatalf("GapsDetected = %d, want %d", got, len(want))
+	}
+	seen := map[uint64]bool{}
+	for _, ev := range sink.FlightRing().Snapshot() {
+		if ev.Kind != obs.KindGapDetect {
+			continue
+		}
+		hb, ok := want[ev.A]
+		if !ok || seen[ev.A] || ev.B != hb {
+			t.Fatalf("gap-detect seq %d hb=%d: expected=%v duplicate=%v want hb=%d", ev.A, ev.B, ok, seen[ev.A], hb)
+		}
+		seen[ev.A] = true
+	}
+	if len(seen) != len(want) {
+		t.Fatalf("flight recorded %d gap detections, want %d", len(seen), len(want))
+	}
+}
+
+// BenchmarkReceiverArrivalWideGap measures one in-order data arrival while
+// a heartbeat-revealed gap of the given width stays open: the per-arrival
+// cost must not grow with the width.
+func BenchmarkReceiverArrivalWideGap(b *testing.B) {
+	for _, width := range []uint64{16, 512, 4000} {
+		b.Run(fmt.Sprintf("gap=%d", width), func(b *testing.B) {
+			// The window is wide enough that the head never forces a skip
+			// past the gap during the run.
+			r := NewReceiver(ReceiverConfig{Group: tGroup, Heartbeat: hbParams,
+				Secondary: tSecondary, Primary: tPrimary, NackDelay: time.Hour,
+				RecoveryWindow: 1 << 40})
+			r.Start(transporttest.NewEnv("receiver"))
+			var buf []byte
+			send := func(typ wire.Type, seq uint64) {
+				p := wire.Packet{Type: typ, Source: tSource, Group: tGroup, Seq: seq}
+				var err error
+				if buf, err = p.AppendMarshal(buf[:0]); err != nil {
+					b.Fatal(err)
+				}
+				r.Recv(tSrcAddr, buf)
+			}
+			send(wire.TypeData, 1)
+			send(wire.TypeHeartbeat, 1+width)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				send(wire.TypeData, 2+width+uint64(i))
+			}
+		})
+	}
+}
+
+// TestReceiverMaxSeqHeartbeatDetects pins gap detection at the top of the
+// sequence space: a heartbeat claiming seq 2^64-1 opens a missing range
+// ending there, and registering it must terminate (a `seq <= To` loop
+// never does) after clamping to RecoveryWindow.
+func TestReceiverMaxSeqHeartbeatDetects(t *testing.T) {
+	h := newReceiver(t, ReceiverConfig{})
+	h.data(t, 1, "one")
+	h.heartbeat(t, ^uint64(0), 1)
+	if st := h.r.Stats(); st.SkippedAhead != 1 || st.GapsDetected != 4096 {
+		t.Fatalf("stats = %+v, want one window skip and 4096 gaps", st)
 	}
 }

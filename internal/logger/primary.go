@@ -1182,7 +1182,7 @@ func (p *Primary) checkGapsUpTo(st *priStream, hi uint64) {
 	if hi < st.store.Highest() {
 		hi = st.store.Highest()
 	}
-	if len(st.store.Missing(hi, 1)) == 0 && len(st.pendingReq) == 0 {
+	if hi <= st.store.Contiguous() && len(st.pendingReq) == 0 {
 		return
 	}
 	if st.nackTimer != nil || st.retryTimer != nil {

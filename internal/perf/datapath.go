@@ -178,3 +178,34 @@ func MeasureDatapathAllocsSampled(runs int) float64 {
 		smp.Sample(tick)
 	})
 }
+
+// MeasurePrimaryOpenGapAllocs returns the average allocations per data
+// packet a primary logs while a gap below it stays open: seq 1 is never
+// delivered, so every arrival runs the gap check against a live hole
+// (the recovery timer is armed once and the clock never fires it).
+func MeasurePrimaryOpenGapAllocs(runs int) float64 {
+	pri := logger.NewPrimary(logger.PrimaryConfig{
+		Group: 1, Retention: logger.Retention{MaxPackets: 4096},
+	})
+	pri.Start(newNullEnv())
+	var src transport.Addr = nullAddr("sender")
+	payload := make([]byte, 128)
+	var buf []byte
+	p := wire.Packet{Type: wire.TypeData, Source: 7, Group: 1, Seq: 1, Epoch: 1, Payload: payload}
+	step := func() {
+		p.Seq++
+		var err error
+		if buf, err = p.AppendMarshal(buf[:0]); err != nil {
+			panic(err)
+		}
+		pri.Recv(src, buf)
+	}
+	for i := 0; i < 8192; i++ {
+		step()
+	}
+	allocs := testing.AllocsPerRun(runs, step)
+	if st := pri.Stats(); st.PacketsLogged != p.Seq-1 {
+		panic(fmt.Sprintf("perf: primary logged %d of %d packets", st.PacketsLogged, p.Seq-1))
+	}
+	return allocs
+}

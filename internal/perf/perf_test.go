@@ -36,6 +36,25 @@ func TestRecoveryZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestTrackerZeroAlloc pins the sequence tracker's per-arrival work —
+// head marks that open gaps, repairs that split them, AppendMissing into a
+// reused slice, Advance — at zero allocations once its gap list has grown
+// to the working size. Every receiver and logger runs it per packet.
+func TestTrackerZeroAlloc(t *testing.T) {
+	if allocs := MeasureTrackerAllocs(2000); allocs != 0 {
+		t.Fatalf("steady-state tracker allocates %.2f allocs/op, want 0", allocs)
+	}
+}
+
+// TestPrimaryOpenGapZeroAlloc pins the primary's data path at zero
+// allocations while its own log has an open gap: the per-packet gap probe
+// must read the contiguity watermark, not build a missing-range list.
+func TestPrimaryOpenGapZeroAlloc(t *testing.T) {
+	if allocs := MeasurePrimaryOpenGapAllocs(2000); allocs != 0 {
+		t.Fatalf("primary data path with an open gap allocates %.2f allocs/op, want 0", allocs)
+	}
+}
+
 // TestQuorumHopZeroAlloc pins the quorum-mode ring revolution — token
 // launch at the primary, payload apply + watermark append at each replica
 // hop, and the return fold with the quorum-gated source ack — at zero
@@ -91,3 +110,4 @@ func BenchmarkUDPEgressB1(b *testing.B)        { udpEgressB(1)(b) }
 func BenchmarkUDPEgressB8(b *testing.B)        { udpEgressB(8)(b) }
 func BenchmarkUDPEgressB64(b *testing.B)       { udpEgressB(64)(b) }
 func BenchmarkShardedEgress(b *testing.B)      { ShardedEgress(b) }
+func BenchmarkTrackerArrival(b *testing.B)     { TrackerArrival(b) }

@@ -1,9 +1,18 @@
 // Package seqtrack implements the sequence-number bookkeeping shared by
 // every LBRM endpoint that watches a stream: the contiguity watermark, the
-// sparse set of out-of-order arrivals, the late-join base (history a
+// set of missing ranges above it, the late-join base (history a
 // mid-stream joiner deliberately skips), and gap (missing-range)
 // computation. The log store, the receiver, and the SRM baseline all track
 // streams through this one type.
+//
+// Representation: the tracker holds the missing sequence numbers, not the
+// received ones — a sorted, disjoint list of ranges inside
+// (Contiguous, Highest]. Memory and every operation's cost scale with the
+// number of gaps, never with how many packets arrived out of order or how
+// wide a gap is: an in-order Mark is amortised O(1), a repair or a Seen
+// query is a binary search over the gaps, and AppendMissing copies at most
+// maxRanges ranges. A forged sequence number far ahead of the stream opens
+// one range.
 //
 // Semantics: sequence numbers start at 1; 0 is never valid. The first
 // Mark or SetBase establishes "contact"; SetBase after contact is a no-op,
@@ -12,6 +21,7 @@ package seqtrack
 
 import (
 	"slices"
+	"sort"
 
 	"lbrm/internal/wire"
 )
@@ -22,10 +32,11 @@ type Tracker struct {
 	base      uint64
 	contig    uint64
 	highest   uint64
-	seen      map[uint64]bool
-	// keyScratch is reused by AppendMissing so steady-state gap
-	// computation (NACK build, heartbeat check) does not allocate.
-	keyScratch []uint64
+	// gaps are the unmarked ranges in (contig, highest]: sorted, disjoint,
+	// separated by at least one marked seq, with gaps[0].From == contig+1
+	// whenever gaps is non-empty. highest itself is always marked (or
+	// implied by SetBase/Advance), so no gap reaches it.
+	gaps []wire.SeqRange
 }
 
 // Contacted reports whether the stream has been seen at all (any Mark or
@@ -58,47 +69,80 @@ func (t *Tracker) SetBase(seq uint64) bool {
 }
 
 // Mark records seq as seen. It returns false for 0, for duplicates, and
-// for sequence numbers at or below the base watermark.
+// for sequence numbers at or below the base watermark. A mark past the
+// head is amortised O(1) (it opens at most one gap); a repair inside a gap
+// is a binary search plus shrinking, removing or splitting that gap.
 func (t *Tracker) Mark(seq uint64) bool {
-	if seq == 0 || t.Seen(seq) {
+	if seq <= t.contig { // 0, or at/below the watermark
 		return false
 	}
-	t.contacted = true
 	if seq > t.highest {
+		t.contacted = true
+		if seq > t.highest+1 {
+			t.gaps = append(t.gaps, wire.SeqRange{From: t.highest + 1, To: seq - 1})
+		}
 		t.highest = seq
-	}
-	if seq == t.contig+1 {
-		t.contig++
-		for t.seen[t.contig+1] {
-			t.contig++
-			delete(t.seen, t.contig)
+		if len(t.gaps) == 0 {
+			t.contig = seq
 		}
 		return true
 	}
-	if t.seen == nil {
-		t.seen = make(map[uint64]bool)
+	i, ok := t.gapOf(seq)
+	if !ok {
+		return false
 	}
-	t.seen[seq] = true
+	switch g := &t.gaps[i]; {
+	case g.From == g.To:
+		t.gaps = slices.Delete(t.gaps, i, i+1)
+	case seq == g.From:
+		g.From++
+	case seq == g.To:
+		g.To--
+	default:
+		tail := wire.SeqRange{From: seq + 1, To: g.To}
+		g.To = seq - 1
+		t.gaps = slices.Insert(t.gaps, i+1, tail)
+	}
+	if i == 0 {
+		t.resetContig()
+	}
 	return true
+}
+
+// gapOf returns the index of the gap holding seq, and whether one does.
+func (t *Tracker) gapOf(seq uint64) (int, bool) {
+	i := sort.Search(len(t.gaps), func(i int) bool { return t.gaps[i].To >= seq })
+	return i, i < len(t.gaps) && t.gaps[i].From <= seq
+}
+
+// resetContig re-derives the contiguity watermark from the first gap.
+func (t *Tracker) resetContig() {
+	if len(t.gaps) == 0 {
+		t.contig = t.highest
+	} else {
+		t.contig = t.gaps[0].From - 1
+	}
 }
 
 // Seen reports whether seq has been marked (or skipped by the base).
 func (t *Tracker) Seen(seq uint64) bool {
-	return seq <= t.contig || t.seen[seq]
+	_, missing := t.gapOf(seq)
+	return seq <= t.highest && !missing
 }
 
 // Missing returns up to maxRanges ranges of unmarked sequence numbers in
 // (Contiguous, hi]. hi of 0 means Highest(); maxRanges ≤ 0 means
-// wire.MaxNackRanges. Cost is O(pending·log pending), independent of the
+// wire.MaxNackRanges. Cost is O(min(gaps, maxRanges)), independent of the
 // width of the gaps — a forged sequence number cannot make this expensive.
 func (t *Tracker) Missing(hi uint64, maxRanges int) []wire.SeqRange {
 	return t.AppendMissing(nil, hi, maxRanges)
 }
 
 // AppendMissing appends the missing ranges to dst and returns the extended
-// slice (see Missing for the range semantics). Callers on hot paths pass a
-// reused dst (typically dst[:0]) to make gap computation allocation-free;
-// the sort scratch is retained on the Tracker for the same reason.
+// slice (see Missing for the range semantics): the tracked gaps up to hi,
+// the last one clipped to hi, then (Highest, hi] when hi is past the head.
+// Callers on hot paths pass a reused dst (typically dst[:0]) to make gap
+// computation allocation-free.
 func (t *Tracker) AppendMissing(dst []wire.SeqRange, hi uint64, maxRanges int) []wire.SeqRange {
 	if hi == 0 {
 		hi = t.highest
@@ -109,27 +153,19 @@ func (t *Tracker) AppendMissing(dst []wire.SeqRange, hi uint64, maxRanges int) [
 	if hi <= t.contig {
 		return dst
 	}
-	keys := t.keyScratch[:0]
-	for q := range t.seen {
-		if q > t.contig && q <= hi {
-			keys = append(keys, q)
-		}
-	}
-	t.keyScratch = keys
-	slices.Sort(keys) // generic sort: no closure, no boxing, no alloc
 	base := len(dst)
-	next := t.contig + 1
-	for _, k := range keys {
-		if k > next {
-			dst = append(dst, wire.SeqRange{From: next, To: k - 1})
-			if len(dst)-base == maxRanges {
-				return dst
-			}
+	for _, g := range t.gaps {
+		if g.From > hi {
+			return dst
 		}
-		next = k + 1
+		g.To = min(g.To, hi)
+		dst = append(dst, g)
+		if len(dst)-base == maxRanges {
+			return dst
+		}
 	}
-	if next <= hi {
-		dst = append(dst, wire.SeqRange{From: next, To: hi})
+	if hi > t.highest {
+		dst = append(dst, wire.SeqRange{From: t.highest + 1, To: hi})
 	}
 	return dst
 }
@@ -144,24 +180,27 @@ func (t *Tracker) Advance(seq uint64) {
 		return
 	}
 	t.contacted = true
-	t.contig = seq
-	if seq > t.highest {
+	if seq >= t.highest {
 		t.highest = seq
+		t.gaps = t.gaps[:0]
+		t.contig = seq
+		return
 	}
-	for q := range t.seen {
-		if q <= seq {
-			delete(t.seen, q)
-		}
+	drop := sort.Search(len(t.gaps), func(i int) bool { return t.gaps[i].To > seq })
+	t.gaps = slices.Delete(t.gaps, 0, drop)
+	if len(t.gaps) > 0 && t.gaps[0].From <= seq {
+		t.gaps[0].From = seq + 1
 	}
-	for t.seen[t.contig+1] {
-		t.contig++
-		delete(t.seen, t.contig)
-	}
-	if t.contig > t.highest {
-		t.highest = t.contig
-	}
+	t.resetContig()
 }
 
-// Pending returns the number of out-of-order sequence numbers held above
-// the contiguity watermark (a memory gauge).
-func (t *Tracker) Pending() int { return len(t.seen) }
+// Pending returns the number of marked sequence numbers held above the
+// contiguity watermark (how far arrivals ran ahead of the in-order point).
+// It is derived from the gaps, so it costs O(gaps).
+func (t *Tracker) Pending() int {
+	n := t.highest - t.contig
+	for _, g := range t.gaps {
+		n -= g.Count()
+	}
+	return int(n)
+}
